@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet staticcheck bench bench-check allocs-smoke profile experiments ci resume-check fuzz-smoke load-smoke chaos-smoke scale-smoke
+.PHONY: all build test race race-cpus vet staticcheck bench bench-check allocs-smoke profile experiments ci resume-check fuzz-smoke load-smoke chaos-smoke scale-smoke
 
 all: build
 
@@ -15,6 +15,15 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The concurrency-sensitive packages again under the race detector at
+# 1, 2 and 4 CPUs: ordering bugs (progress records, swap pinning, the
+# mapped reader's first-touch bitmap, truncation under load) can hide at
+# the runner's own core count.
+CPU_SWEEP_PKGS = ./internal/core ./internal/par ./internal/serve ./internal/router ./internal/dataset
+
+race-cpus:
+	$(GO) test -race -cpu 1,2,4 $(CPU_SWEEP_PKGS)
 
 vet:
 	$(GO) vet ./...
@@ -46,8 +55,8 @@ bench-check:
 
 # Hard zero-allocation gate of the serving hot path (DESIGN.md §3.10):
 # a steady-state /lookup — pin, parse, resolve, render, write — and a
-# steady-state mapped GEODSET2 lookup must perform zero heap allocations
-# per request. Run by name: the percentage-based bench-check gate cannot
+# steady-state fault-guarded GEODSET2 lookup must perform zero heap
+# allocations per request. Run by name: the percentage-based bench-check gate cannot
 # express "still exactly zero", so a new allocation sneaking into the
 # hot path fails THIS target, not a trend threshold.
 allocs-smoke:
@@ -167,14 +176,14 @@ chaos-smoke:
 
 # Streaming-scale proof (DESIGN.md §3.9–3.10): external-merge compile a
 # 50k /24 campaign in bounded windows into a block-indexed GEODSET2,
-# then serve it both ways — positioned block reads through the sharded
-# LRU, and zero-copy through the memory mapping (-mmap) — driving the
-# SAME seeded strict geobench pass against each. The two runs' status
-# ledgers must be byte-identical: the mapping is a pure access-path
-# change, so any divergence in answers is a bug, not a config delta.
-# The bench materializes the same artifact as its client-side oracle,
-# so hit/miss classification also exercises the v2 decode path end to
-# end.
+# convert it to a GEODSET1 of the same records (geoserve -write), then
+# serve both formats — the GEODSET1 decoded into RAM, the GEODSET2
+# straight out of its mapping — driving the SAME seeded strict geobench
+# pass against each. The two runs' status ledgers must be
+# byte-identical: the formats carry the same records, so any divergence
+# in answers is a bug in one read path. The bench materializes the
+# GEODSET2 as its client-side oracle, so hit/miss classification also
+# exercises the v2 decode path end to end.
 scale-smoke:
 	rm -rf .scale-smoke && mkdir -p .scale-smoke
 	$(GO) build -o .scale-smoke/exp ./cmd/experiments
@@ -182,26 +191,28 @@ scale-smoke:
 	$(GO) build -o .scale-smoke/geobench ./cmd/geobench
 	./.scale-smoke/exp -scale 50000 -checkpoint-dir .scale-smoke/spill \
 		-artifact .scale-smoke/stream.geodset2 -q
-	set -e; \
 	./.scale-smoke/geoserve -dataset .scale-smoke/stream.geodset2 \
+		-write .scale-smoke/stream.geodset -log-level warn
+	set -e; \
+	./.scale-smoke/geoserve -dataset .scale-smoke/stream.geodset \
 		-addr 127.0.0.1:18070 -log-level warn & pid=$$!; \
 	trap 'kill $$pid 2>/dev/null; wait $$pid 2>/dev/null' EXIT; \
 	./.scale-smoke/geobench -addr http://127.0.0.1:18070 \
 		-dataset .scale-smoke/stream.geodset2 -wait-ready 15s \
 		-requests 3000 -workers 8 \
-		-strict -out .scale-smoke/pread.json
+		-strict -out .scale-smoke/v1.json
 	set -e; \
-	./.scale-smoke/geoserve -dataset .scale-smoke/stream.geodset2 -mmap \
+	./.scale-smoke/geoserve -dataset .scale-smoke/stream.geodset2 \
 		-addr 127.0.0.1:18071 -log-level warn & pid=$$!; \
 	trap 'kill $$pid 2>/dev/null; wait $$pid 2>/dev/null' EXIT; \
 	./.scale-smoke/geobench -addr http://127.0.0.1:18071 \
 		-dataset .scale-smoke/stream.geodset2 -wait-ready 15s \
 		-requests 3000 -workers 8 \
-		-strict -out .scale-smoke/mmap.json
-	sed -n '/"statuses"/,/}/p' .scale-smoke/pread.json > .scale-smoke/pread.ledger
-	sed -n '/"statuses"/,/}/p' .scale-smoke/mmap.json > .scale-smoke/mmap.ledger
-	diff .scale-smoke/pread.ledger .scale-smoke/mmap.ledger
-	@echo "scale-smoke: mmap and positioned-read ledgers identical"
+		-strict -out .scale-smoke/v2.json
+	sed -n '/"statuses"/,/}/p' .scale-smoke/v1.json > .scale-smoke/v1.ledger
+	sed -n '/"statuses"/,/}/p' .scale-smoke/v2.json > .scale-smoke/v2.ledger
+	diff .scale-smoke/v1.ledger .scale-smoke/v2.ledger
+	@echo "scale-smoke: GEODSET1 and GEODSET2 ledgers identical"
 	rm -rf .scale-smoke
 
 # Short coverage-guided fuzz of the binary decoders — the checkpoint
@@ -212,4 +223,4 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzDatasetDecoder -fuzztime 10s -run '^$$' ./internal/dataset
 	$(GO) test -fuzz FuzzDataset2Decoder -fuzztime 10s -run '^$$' ./internal/dataset
 
-ci: vet build race
+ci: vet build race race-cpus

@@ -21,8 +21,10 @@ import (
 	"geoloc/internal/experiments"
 	"geoloc/internal/geo"
 	"geoloc/internal/ipaddr"
+	"geoloc/internal/serve"
 	"geoloc/internal/stats"
 	"geoloc/internal/streetlevel"
+	"geoloc/internal/telemetry"
 	"geoloc/internal/vpsel"
 	"geoloc/internal/world"
 )
@@ -134,16 +136,17 @@ func BenchmarkStreetLevelGeolocate(b *testing.B) {
 	}
 }
 
-// BenchmarkLookupParallel measures the dataset-serving hot path: compile
-// the medium campaign into a dataset once, then hammer the longest-prefix
-// index from GOMAXPROCS goroutines the way cmd/geoserve does under load.
-// The query mix alternates covered addresses (LRU-friendly /24 reuse) and
-// misses so both branches stay hot. Hits and misses of the final run are
-// attached so BENCH.json records the mix alongside the timing.
+// BenchmarkLookupParallel measures the in-RAM serving hot path: compile
+// the medium campaign into a dataset once, publish it on a serve.Server,
+// then hammer serve.Artifact.Find from GOMAXPROCS goroutines the way
+// cmd/geoserve does under load. The query mix alternates covered
+// addresses and misses so both branches stay hot. Hits and misses of the
+// final run are attached so BENCH.json records the mix alongside the
+// timing.
 func BenchmarkLookupParallel(b *testing.B) {
 	c := benchSetup(b)
 	ds := dataset.Compile(c, dataset.Options{})
-	idx := ds.Index(0)
+	art := serve.New(serve.Config{}, telemetry.New()).Publish(ds, "bench")
 	queries := make([]ipaddr.Addr, 0, 2*len(ds.Records))
 	for i, r := range ds.Records {
 		queries = append(queries, r.Prefix.Addr(byte(i))) // covered
@@ -155,7 +158,7 @@ func BenchmarkLookupParallel(b *testing.B) {
 		var h, m int64
 		var i int
 		for pb.Next() {
-			if _, ok := idx.Lookup(queries[i%len(queries)]); ok {
+			if _, ok, _ := art.Find(queries[i%len(queries)]); ok {
 				h++
 			} else {
 				m++
@@ -189,18 +192,17 @@ func writeBench2(b *testing.B, ds *dataset.Dataset) string {
 	return path
 }
 
-// benchLookup2 is the shared body of the GEODSET2 serving benchmarks:
+// BenchmarkLookup2Parallel measures concurrent GEODSET2 lookups:
 // compile the medium campaign, write it as a block-indexed artifact,
-// then hammer Find from GOMAXPROCS goroutines with the same
-// covered/miss mix BenchmarkLookupParallel uses. The two entry points
-// differ only in the reader: Open2 answers through the sharded block
-// LRU with positioned reads, OpenMapped answers straight out of the
-// memory mapping — their relative throughput at high GOMAXPROCS is the
-// contention headline of DESIGN.md §3.10.
-func benchLookup2(b *testing.B, open func(string) (*dataset.Reader2, error)) {
+// open it with Open2 (a read-only mapping), then hammer Find from
+// GOMAXPROCS goroutines with the same covered/miss mix
+// BenchmarkLookupParallel uses. Every block is a slice of the shared
+// mapping, verified once on first touch, so goroutines share no mutable
+// state at all.
+func BenchmarkLookup2Parallel(b *testing.B) {
 	c := benchSetup(b)
 	ds := dataset.Compile(c, dataset.Options{})
-	r2, err := open(writeBench2(b, ds))
+	r2, err := dataset.Open2(writeBench2(b, ds))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -232,39 +234,20 @@ func benchLookup2(b *testing.B, open func(string) (*dataset.Reader2, error)) {
 	})
 	b.ReportMetric(float64(atomic.LoadInt64(&hits)), "hits")
 	b.ReportMetric(float64(atomic.LoadInt64(&misses)), "misses")
-	b.ReportMetric(boolMetric(r2.Mapped()), "mapped")
 }
 
-// boolMetric renders a capability flag as a 0/1 metric for BENCH.json.
-func boolMetric(v bool) float64 {
-	if v {
-		return 1
-	}
-	return 0
-}
-
-// BenchmarkLookup2Parallel measures concurrent GEODSET2 lookups through
-// the positioned-read path and its 8-way sharded block LRU.
-func BenchmarkLookup2Parallel(b *testing.B) { benchLookup2(b, dataset.Open2) }
-
-// BenchmarkLookup2ParallelMapped measures the same workload zero-copy:
-// every block is a slice of the shared read-only mapping, verified once
-// on first touch, so goroutines share no mutable state at all.
-func BenchmarkLookup2ParallelMapped(b *testing.B) { benchLookup2(b, dataset.OpenMapped) }
-
-// benchFullFind drives uniform-random concurrent Find over an
+// BenchmarkFullFind drives uniform-random concurrent Find over an
 // out-of-tree GEODSET2 artifact named by the GEODSET2_PATH environment
 // variable (skipped when unset) — the access pattern a public lookup
 // service sees at full-routable-IPv4 scale: no locality, working set =
-// the whole artifact, so a block LRU far smaller than the block count
-// misses on nearly every request while the mapping answers in place.
-// This is the harness behind results/full-ipv4.txt.
-func benchFullFind(b *testing.B, open func(string) (*dataset.Reader2, error)) {
+// the whole artifact, answered in place out of the mapping. This is the
+// harness behind results/full-ipv4.txt.
+func BenchmarkFullFind(b *testing.B) {
 	path := os.Getenv("GEODSET2_PATH")
 	if path == "" {
 		b.Skip("GEODSET2_PATH not set: point it at a GEODSET2 artifact")
 	}
-	r2, err := open(path)
+	r2, err := dataset.Open2(path)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -293,14 +276,7 @@ func benchFullFind(b *testing.B, open func(string) (*dataset.Reader2, error)) {
 		atomic.AddInt64(&hits, h)
 	})
 	b.ReportMetric(float64(atomic.LoadInt64(&hits)), "hits")
-	b.ReportMetric(boolMetric(r2.Mapped()), "mapped")
 }
-
-// BenchmarkFullFind is the positioned-read (sharded LRU) path.
-func BenchmarkFullFind(b *testing.B) { benchFullFind(b, dataset.Open2) }
-
-// BenchmarkFullFindMapped is the zero-copy path over the same artifact.
-func BenchmarkFullFindMapped(b *testing.B) { benchFullFind(b, dataset.OpenMapped) }
 
 // BenchmarkPing measures the simulator's measurement primitive.
 func BenchmarkPing(b *testing.B) {

@@ -1,9 +1,14 @@
 // geoserve serves a compiled geolocation dataset over HTTP.
 //
 // It either loads a dataset artifact (-dataset) or compiles one from a
-// fresh deterministic campaign (-scale), optionally writing the artifact
-// out (-write) instead of serving. The -faults profile injects
-// deterministic per-IP lookup failures and stalls for chaos runs.
+// fresh deterministic campaign (-scale), optionally writing the dataset
+// out as a GEODSET1 artifact (-write) instead of serving. A GEODSET1
+// artifact is decoded into RAM and answered by binary search; a
+// block-indexed GEODSET2 is served straight out of a read-only mapping
+// of the file, where truncating the live file in place costs 503s, not
+// the process. Each format has exactly one lookup path
+// and no cache to tune. The -faults profile injects deterministic per-IP
+// lookup failures and stalls for chaos runs.
 //
 // The serving core (internal/serve) is production-shaped: artifacts
 // hot-swap atomically under live traffic (SIGHUP, or POST /admin/reload
@@ -18,6 +23,7 @@
 // range, and -hedge races slow primaries against their fallback.
 //
 //	geoserve -scale tiny -write dataset.bin
+//	geoserve -dataset stream.geodset2 -write dataset.bin   # GEODSET2 → GEODSET1
 //	geoserve -dataset dataset.bin -addr :8080 -admin-token s3cret -metrics
 //	curl 'localhost:8080/lookup?ip=10.0.0.7'
 //	curl -X POST -H 'X-Admin-Token: s3cret' \
@@ -56,9 +62,7 @@ type options struct {
 	writePath   string
 	faultName   string
 	unsanitized bool
-	cacheSize   int
 	maxBatch    int
-	mmap        bool
 
 	maxInflight    int
 	maxQueue       int
@@ -104,12 +108,10 @@ func main() {
 	flag.StringVar(&o.addr, "addr", ":8080", "listen address")
 	flag.StringVar(&o.dsPath, "dataset", "", "serve this dataset artifact instead of compiling one")
 	flag.StringVar(&o.scale, "scale", "tiny", "campaign scale to compile when -dataset is unset: tiny, medium, paper")
-	flag.StringVar(&o.writePath, "write", "", "write the compiled dataset artifact here and exit instead of serving")
+	flag.StringVar(&o.writePath, "write", "",
+		"write the dataset (compiled, or loaded from -dataset of either format) here as a GEODSET1 artifact and exit instead of serving")
 	flag.StringVar(&o.faultName, "faults", "none", "serving fault profile: none, realistic, degraded, hostile")
 	flag.BoolVar(&o.unsanitized, "unsanitized", false, "include removed anchors as unsanitized reported-location records")
-	flag.IntVar(&o.cacheSize, "cache", 0, "ipindex LRU entries per shard (0 = default, negative = disabled)")
-	flag.BoolVar(&o.mmap, "mmap", false,
-		"serve block-indexed GEODSET2 artifacts zero-copy through a memory mapping (falls back to positioned reads where unsupported)")
 	flag.IntVar(&o.maxBatch, "max-batch", serve.DefaultMaxBatch, "maximum IPs accepted in one /batch request")
 
 	flag.IntVar(&o.maxInflight, "max-inflight", serve.DefaultMaxInflight,
@@ -204,7 +206,7 @@ func run(o options) error {
 
 	// A numeric -scale (e.g. 1e6) selects the streaming pipeline: the
 	// artifact is external-merge compiled to disk as a block-indexed
-	// GEODSET2 and served via positioned reads, never decoded whole.
+	// GEODSET2 and served through a mapping, never decoded whole.
 	if n, ok := streamScale(o.scale); ok && o.dsPath == "" {
 		path, cleanup, err := streamCompile(n, o.writePath)
 		if err != nil {
@@ -218,6 +220,18 @@ func run(o options) error {
 		o.dsPath = path
 	}
 
+	if o.writePath != "" {
+		ds, err := obtainDataset(o.dsPath, o.scale, o.unsanitized)
+		if err != nil {
+			return err
+		}
+		if err := ds.Write(o.writePath); err != nil {
+			return fmt.Errorf("write dataset: %w", err)
+		}
+		log.Printf("wrote %d records to %s", len(ds.Records), o.writePath)
+		return nil
+	}
+
 	var ds *dataset.Dataset
 	serveBlockIndexed := o.dsPath != "" && isBlockIndexed(o.dsPath)
 	if !serveBlockIndexed {
@@ -226,16 +240,6 @@ func run(o options) error {
 		if err != nil {
 			return err
 		}
-	}
-	if o.writePath != "" {
-		if serveBlockIndexed {
-			return fmt.Errorf("-write with a block-indexed -dataset: the artifact is already on disk at %s", o.dsPath)
-		}
-		if err := ds.Write(o.writePath); err != nil {
-			return fmt.Errorf("write dataset: %w", err)
-		}
-		log.Printf("wrote %d records to %s", len(ds.Records), o.writePath)
-		return nil
 	}
 
 	source := o.dsPath
@@ -251,9 +255,7 @@ func run(o options) error {
 
 	srv := serve.New(serve.Config{
 		Prof:           prof,
-		CacheSize:      o.cacheSize,
 		MaxBatch:       o.maxBatch,
-		Mmap:           o.mmap,
 		MaxInflight:    o.maxInflight,
 		MaxQueue:       o.maxQueue,
 		QueueTimeout:   o.queueTimeout,
@@ -277,11 +279,7 @@ func run(o options) error {
 		if err != nil {
 			return fmt.Errorf("open block-indexed dataset: %w", err)
 		}
-		mode := "positioned reads"
-		if art.R2 != nil && art.R2.Mapped() {
-			mode = "mmap"
-		}
-		log.Printf("serving block-indexed artifact: %d records from %s (%s)", art.Records, o.dsPath, mode)
+		log.Printf("serving block-indexed artifact: %d records from %s", art.Records, o.dsPath)
 	} else {
 		srv.Publish(ds, source)
 	}
@@ -343,11 +341,11 @@ func run(o options) error {
 	return nil
 }
 
-// obtainDataset loads an artifact or compiles one from a fresh
-// deterministic campaign at the requested scale.
+// obtainDataset loads an artifact of either format into RAM or compiles
+// one from a fresh deterministic campaign at the requested scale.
 func obtainDataset(path, scale string, unsanitized bool) (*dataset.Dataset, error) {
 	if path != "" {
-		ds, err := dataset.Load(path)
+		ds, err := dataset.LoadAny(path)
 		if err != nil {
 			return nil, fmt.Errorf("load dataset: %w", err)
 		}

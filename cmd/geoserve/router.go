@@ -29,7 +29,6 @@ import (
 func replicaServeConfig(o options, prof *faults.Profile) serve.Config {
 	return serve.Config{
 		Prof:           prof,
-		CacheSize:      o.cacheSize,
 		MaxBatch:       o.maxBatch,
 		MaxInflight:    o.maxInflight,
 		MaxQueue:       o.maxQueue,

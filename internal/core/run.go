@@ -412,11 +412,11 @@ func (p *progressMeter) restored(rows int, clockUSec int64) {
 		return
 	}
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	p.done += rows
 	if clockUSec > p.clockUSec {
 		p.clockUSec = clockUSec
 	}
-	p.mu.Unlock()
 	p.emit("restore")
 }
 
@@ -428,21 +428,21 @@ func (p *progressMeter) row(phase string, clockUSec int64) {
 		return
 	}
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	p.done++
 	if clockUSec > p.clockUSec {
 		p.clockUSec = clockUSec
 	}
-	done := p.done
-	p.mu.Unlock()
-	if done%p.every == 0 || done == p.total {
+	if p.done%p.every == 0 || p.done == p.total {
 		p.emit(phase)
 	}
 }
 
+// emit writes one progress record. Callers hold p.mu, so records leave
+// in the order their counts were taken: rows_done never goes backwards
+// and no two records report the same count.
 func (p *progressMeter) emit(phase string) {
-	p.mu.Lock()
 	done, clk := p.done, p.clockUSec
-	p.mu.Unlock()
 	simS := float64(clk) / 1e6
 	attrs := []any{
 		slog.String("phase", phase),

@@ -34,7 +34,6 @@ import (
 	"geoloc/internal/core"
 	"geoloc/internal/geo"
 	"geoloc/internal/ipaddr"
-	"geoloc/internal/ipindex"
 	"geoloc/internal/streetlevel"
 	"geoloc/internal/telemetry"
 )
@@ -392,8 +391,9 @@ func Load(path string) (*Dataset, error) {
 }
 
 // Find returns the record covering the /24 of addr (records are sorted,
-// so this is a binary search), or false. Serving traffic goes through
-// ipindex instead; Find is the small-scale convenience accessor.
+// so this is a binary search), or false. It is the serving lookup for
+// in-RAM datasets (compiled in-process or loaded from GEODSET1) and the
+// reference every other read path is tested against.
 func (d *Dataset) Find(addr ipaddr.Addr) (Record, bool) {
 	p := ipaddr.Prefix24Of(addr)
 	i := sort.Search(len(d.Records), func(i int) bool { return d.Records[i].Prefix >= p })
@@ -401,16 +401,6 @@ func (d *Dataset) Find(addr ipaddr.Addr) (Record, bool) {
 		return d.Records[i], true
 	}
 	return Record{}, false
-}
-
-// Index builds the serving index over the dataset: one /24 entry per
-// record, the entry value being the record's position in Records.
-func (d *Dataset) Index(cacheSize int) *ipindex.Index {
-	entries := make([]ipindex.Entry, len(d.Records))
-	for i, r := range d.Records {
-		entries[i] = ipindex.Entry{Prefix: ipindex.From24(r.Prefix), Value: int32(i)}
-	}
-	return ipindex.Build(entries, cacheSize)
 }
 
 // Options tunes Compile.

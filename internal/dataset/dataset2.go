@@ -10,23 +10,22 @@
 //	index frame       kind 3 | ...           | per block: first u32 | last u32 | count u32 | off u64 | plen u32
 //	footer (28 bytes) indexOff u64 | records u64 | crc32(indexOff‖records) u32 | "GDS2TAIL"
 //
-// A reader seeks to the footer, loads the index, and thereafter touches
-// only the blocks a lookup lands in — O(blocks-touched) resident memory
-// at any artifact size. Like GEODSET1 the file is written atomically
+// A reader maps the file, validates the footer and loads the index, and
+// thereafter touches only the blocks a lookup lands in — resident memory
+// is the pages those blocks occupy, at any artifact size. Like GEODSET1 the file is written atomically
 // (tmp + fsync + rename), so truncation is damage, not a crash tail.
 package dataset
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"geoloc/internal/ipaddr"
@@ -233,41 +232,34 @@ func (w *Writer2) Abort() {
 // NumBlocks reports how many blocks have been flushed so far.
 func (w *Writer2) NumBlocks() int { return len(w.index) }
 
-// blockCacheSize is the Reader2 decoded-block LRU capacity. 64 default
-// blocks ≈ 64 × 256 records ≈ 800 KB — the reader's steady-state
-// footprint no matter how large the artifact is.
-const blockCacheSize = 64
-
-// Reader2 serves lookups out of a GEODSET2 artifact. Two read paths
-// share the type: the positioned-read path (Open2) reads and LRU-caches
-// the block a lookup lands in, and the zero-copy path (OpenMapped)
-// resolves block reads to slices of a read-only mmap of the file — no
-// block copies, no cache mutex, the page cache does the caching — with
-// each block's CRC and sort invariants verified once on first touch via
-// a per-block atomic bitmap. Both are safe for concurrent use.
+// Reader2 serves lookups out of a GEODSET2 artifact held as one byte
+// slice: a read-only memory mapping of the file where the platform
+// supports it, the file read into RAM where it does not. Both run the
+// same code. A block is a sub-slice of those bytes — no copy, no cache,
+// no lock; the page cache does the caching — and each block's CRC and
+// sort invariants are verified once, on first touch, through a
+// per-block atomic bitmap. Safe for concurrent use.
+//
+// Fault guard: a mapping can go bad under the reader when the artifact
+// is truncated in place (as `cp new live` does before it writes), and
+// touching a page past the new end of file raises SIGBUS. Every read of
+// the bytes (open-time validation, Lookup, All) therefore runs with
+// debug.SetPanicOnFault and reports a recovered fault as ErrCorrupt, so
+// a damaged artifact costs an error, never the process.
 //
 // Lifecycle: a reader is born with one owner reference; Close drops it.
 // In-flight requests that must outlive a hot-swap pin the reader
-// (TryPin/Unpin); the mapping and descriptor are released only when the
-// last reference drops, so a swapped-out mapping stays valid until the
-// last pinned request drains — generation-pinned munmap.
+// (TryPin/Unpin); the mapping is released only when the last reference
+// drops, so a swapped-out mapping stays valid until the last pinned
+// request drains — generation-pinned munmap.
 type Reader2 struct {
-	r       io.ReaderAt
-	closer  io.Closer
+	data    []byte
+	mapped  bool // data is a mapping, released with munmap
 	hdr     Header
 	blocks  []blockMeta
 	records int
 
-	cache *blockCache // positioned-read path only; nil when mapped
-
-	// admitLo/admitHi bound which blocks the LRU admits (partition-keyed
-	// warm caches): blocks wholly outside [admitLo, admitHi] read through
-	// without caching. Defaults to the full /24 space.
-	admitLo, admitHi ipaddr.Prefix24
-
-	// data is the whole-file mapping (nil on the positioned-read path);
 	// verified is the per-block CRC-verified-on-first-touch bitmap.
-	data     []byte
 	verified []atomic.Uint32
 
 	// refs counts the owner reference plus every in-flight pin; closed
@@ -276,89 +268,44 @@ type Reader2 struct {
 	closed atomic.Bool
 }
 
-// Open2 opens a GEODSET2 artifact file for block-indexed reads.
+// Open2 opens a GEODSET2 artifact file. It maps the file read-only;
+// where mmap is unsupported or fails it reads the file into RAM
+// instead. Footer, index and header are validated eagerly, blocks on
+// first touch.
 func Open2(path string) (*Reader2, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
+	data, err := mmapFile(path)
+	mapped := err == nil
+	if !mapped {
+		if data, err = os.ReadFile(path); err != nil {
+			return nil, err
+		}
 	}
-	st, err := f.Stat()
+	d, err := NewReader2(data)
 	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	d, err := NewReader2(f, st.Size())
-	if err != nil {
-		f.Close()
+		if mapped {
+			munmapFile(data)
+		}
 		meters.badLoads.Inc()
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	d.closer = f
+	d.mapped = mapped
 	return d, nil
 }
 
-// OpenMapped opens a GEODSET2 artifact through a read-only memory map:
-// footer, index, and header are validated eagerly exactly like Open2,
-// but block reads resolve to slices of the mapping. On platforms (or
-// filesystems) where mmap is unavailable it falls back cleanly to the
-// positioned-read reader — callers can check which path they got with
-// Mapped.
-func OpenMapped(path string) (*Reader2, error) {
-	if !mmapSupported {
-		return Open2(path)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	data, err := mmapFile(f, st.Size())
-	if err != nil {
-		// The file exists but cannot be mapped (exotic filesystem, size
-		// overflow): serve it via positioned reads instead.
-		f.Close()
-		return Open2(path)
-	}
-	// The mapping survives the descriptor; release it now so a mapped
-	// reader holds no fd at all.
-	f.Close()
-	d, err := NewReader2(bytes.NewReader(data), st.Size())
-	if err != nil {
-		munmapFile(data)
-		meters.badLoads.Inc()
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	d.data = data
-	d.verified = make([]atomic.Uint32, (len(d.blocks)+31)/32)
-	d.cache = nil // the page cache is the cache
-	return d, nil
-}
-
-// NewReader2 builds a reader over any io.ReaderAt (the fuzz harness
-// hands it a bytes.Reader). Every validation failure is one of the
-// package's named errors; arbitrary input never panics.
-func NewReader2(r io.ReaderAt, size int64) (*Reader2, error) {
-	if size < int64(len(Magic2)) {
-		return nil, ErrBadMagic
-	}
-	var magic [len(Magic2)]byte
-	if _, err := r.ReadAt(magic[:], 0); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrTruncated, err)
-	}
-	if string(magic[:]) != Magic2 {
+// NewReader2 builds a reader over a whole artifact image (the fuzz
+// harness hands it arbitrary bytes). Every validation failure is one of
+// the package's named errors; arbitrary input never panics. The reader
+// keeps data and reads it for its whole life.
+func NewReader2(data []byte) (_ *Reader2, err error) {
+	defer catchFault(debug.SetPanicOnFault(true), &err)
+	size := int64(len(data))
+	if size < int64(len(Magic2)) || string(data[:len(Magic2)]) != Magic2 {
 		return nil, ErrBadMagic
 	}
 	if size < int64(len(Magic2))+frameOverhead+footerLen {
 		return nil, fmt.Errorf("%w: %d bytes is too small for a GEODSET2 file", ErrTruncated, size)
 	}
-	var footer [footerLen]byte
-	if _, err := r.ReadAt(footer[:], size-footerLen); err != nil {
-		return nil, fmt.Errorf("%w: reading footer: %v", ErrTruncated, err)
-	}
+	footer := data[size-footerLen:]
 	if string(footer[20:]) != tailMagic {
 		return nil, fmt.Errorf("%w: footer tail magic missing", ErrTruncated)
 	}
@@ -371,11 +318,11 @@ func NewReader2(r io.ReaderAt, size int64) (*Reader2, error) {
 		return nil, fmt.Errorf("%w: index offset %d out of range", ErrCorrupt, indexOff)
 	}
 
-	d := &Reader2{r: r, cache: newBlockCache(blockCacheSize), admitLo: 0, admitHi: ipaddr.Prefix24(0x00FF_FFFF)}
+	d := &Reader2{data: data}
 	d.refs.Store(1)
 
 	// Header frame right after the magic.
-	kind, payload, err := readFrameAt(r, int64(len(Magic2)), size, maxPayload)
+	kind, payload, err := frameAt(data, int64(len(Magic2)), size, maxPayload)
 	if err != nil {
 		return nil, err
 	}
@@ -393,7 +340,7 @@ func NewReader2(r io.ReaderAt, size int64) (*Reader2, error) {
 	d.hdr = hdr
 
 	// Index frame at the footer's offset.
-	kind, payload, err = readFrameAt(r, indexOff, size-footerLen, maxIndexPayload)
+	kind, payload, err = frameAt(data, indexOff, size-footerLen, maxIndexPayload)
 	if err != nil {
 		return nil, err
 	}
@@ -439,40 +386,47 @@ func NewReader2(r io.ReaderAt, size int64) (*Reader2, error) {
 		return nil, fmt.Errorf("%w: footer says %d records, index sums to %d", ErrCorrupt, records, total)
 	}
 	d.records = int(records)
+	d.verified = make([]atomic.Uint32, (n+31)/32)
 	meters.decodes.Inc()
 	return d, nil
 }
 
-// readFrameAt reads and CRC-checks one frame at off; limit is the first
-// byte the frame must not extend past.
-func readFrameAt(r io.ReaderAt, off, limit int64, maxLen int) (byte, []byte, error) {
-	var fh [frameOverhead]byte
+// frameAt CRC-checks the frame at off and returns its payload as a
+// slice of data; limit is the first byte the frame must not extend past.
+func frameAt(data []byte, off, limit int64, maxLen int) (byte, []byte, error) {
 	if off+frameOverhead > limit {
 		return 0, nil, fmt.Errorf("%w: frame at offset %d runs past EOF", ErrTruncated, off)
 	}
-	if _, err := r.ReadAt(fh[:], off); err != nil {
-		return 0, nil, fmt.Errorf("%w: reading frame at offset %d: %v", ErrTruncated, off, err)
-	}
+	fh := data[off : off+frameOverhead]
 	kind := fh[0]
 	plen := int(binary.LittleEndian.Uint32(fh[1:]))
-	want := binary.LittleEndian.Uint32(fh[5:])
 	if plen > maxLen {
 		return 0, nil, fmt.Errorf("%w: frame at offset %d claims %d-byte payload", ErrCorrupt, off, plen)
 	}
 	if off+frameOverhead+int64(plen) > limit {
 		return 0, nil, fmt.Errorf("%w: frame at offset %d runs past EOF", ErrTruncated, off)
 	}
-	payload := make([]byte, plen)
-	if _, err := r.ReadAt(payload, off+frameOverhead); err != nil {
-		return 0, nil, fmt.Errorf("%w: reading frame payload at offset %d: %v", ErrTruncated, off, err)
-	}
-	crc := crc32.NewIEEE()
-	crc.Write(fh[:1])
-	crc.Write(payload)
-	if crc.Sum32() != want {
+	payload := data[off+frameOverhead : off+frameOverhead+int64(plen)]
+	if crc32.Update(crc32.Update(0, ieeeTable, fh[:1]), ieeeTable, payload) != binary.LittleEndian.Uint32(fh[5:]) {
 		return 0, nil, fmt.Errorf("%w: CRC mismatch at offset %d", ErrCorrupt, off)
 	}
 	return kind, payload, nil
+}
+
+// catchFault is deferred, with the SetPanicOnFault value it replaced,
+// by every function that reads the artifact bytes. It restores that
+// value and turns a recovered memory fault — a mapped page that vanished
+// because the file was truncated in place — into ErrCorrupt. Any other panic is a bug and keeps unwinding.
+func catchFault(prev bool, err *error) {
+	debug.SetPanicOnFault(prev)
+	if r := recover(); r != nil {
+		f, ok := r.(interface{ Addr() uintptr })
+		if !ok {
+			panic(r)
+		}
+		*err = fmt.Errorf("%w: memory fault at %#x reading the artifact (was it truncated in place?)",
+			ErrCorrupt, f.Addr())
+	}
 }
 
 // Header returns the artifact's provenance header.
@@ -494,10 +448,6 @@ func (d *Reader2) Range() (lo, hi ipaddr.Prefix24) {
 	return d.blocks[0].first, d.blocks[len(d.blocks)-1].last
 }
 
-// Mapped reports whether this reader serves from a memory map (the
-// zero-copy path) rather than positioned reads.
-func (d *Reader2) Mapped() bool { return d.data != nil }
-
 // TryPin takes a reference on the reader if it is still alive: the CAS
 // loop increments refs only while they are positive, so a pin can never
 // resurrect a reader whose last reference already dropped. Callers that
@@ -515,13 +465,13 @@ func (d *Reader2) TryPin() bool {
 }
 
 // Unpin drops a TryPin reference; the last reference out releases the
-// mapping and descriptor.
+// mapping.
 func (d *Reader2) Unpin() { d.release() }
 
 // Close drops the owner reference taken at open. Idempotent. The
-// mapping (and file) is released only when every pinned request has
-// unpinned — a swapped-out mapped reader stays valid until the last
-// in-flight lookup drains.
+// mapping is released only when every pinned request has unpinned — a
+// swapped-out reader stays valid until the last in-flight lookup
+// drains.
 func (d *Reader2) Close() error {
 	if d.closed.CompareAndSwap(false, true) {
 		d.release()
@@ -534,91 +484,24 @@ func (d *Reader2) release() {
 	if d.refs.Add(-1) != 0 {
 		return
 	}
-	if d.data != nil {
+	if d.mapped {
 		munmapFile(d.data)
-		d.data = nil
-		d.r = nil
 	}
-	if d.closer != nil {
-		d.closer.Close()
-		d.closer = nil
-	}
+	d.data = nil
 }
 
-// block fetches the decoded records of block i, validating the frame
-// CRC, the count, and that keys are strictly ascending inside the index
-// entry's [first, last] range. cacheIt controls LRU insertion — full
-// scans skip it so they cannot evict a serving workload's hot blocks,
-// and blocks outside the admitted key range read through uncached.
-func (d *Reader2) block(i int, cacheIt bool) ([]Record, error) {
-	if recs, ok := d.cache.get(i); ok {
-		return recs, nil
-	}
-	b := d.blocks[i]
-	cacheIt = cacheIt && b.last >= d.admitLo && b.first <= d.admitHi
-	kind, payload, err := readFrameAt(d.r, b.off, b.off+frameOverhead+int64(b.plen), int(b.plen))
-	if err != nil {
-		return nil, err
-	}
-	if kind != kindBlock {
-		return nil, fmt.Errorf("%w: block %d frame has kind %d", ErrCorrupt, i, kind)
-	}
-	if len(payload) != int(b.plen) || len(payload) < 2 {
-		return nil, fmt.Errorf("%w: block %d payload size mismatch", ErrCorrupt, i)
-	}
-	count := int(binary.LittleEndian.Uint16(payload))
-	if count != int(b.count) {
-		return nil, fmt.Errorf("%w: block %d holds %d records, index says %d", ErrCorrupt, i, count, b.count)
-	}
-	recs := make([]Record, count)
-	for k := 0; k < count; k++ {
-		r, err := decodeRecord(payload[2+k*recordPayloadLen : 2+(k+1)*recordPayloadLen])
-		if err != nil {
-			return nil, err
-		}
-		if k > 0 && recs[k-1].Prefix >= r.Prefix {
-			return nil, fmt.Errorf("%w: block %d records not strictly sorted at %d", ErrCorrupt, i, k)
-		}
-		recs[k] = r
-	}
-	if recs[0].Prefix != b.first || recs[count-1].Prefix != b.last {
-		return nil, fmt.Errorf("%w: block %d key range does not match its index entry", ErrCorrupt, i)
-	}
-	if cacheIt {
-		d.cache.put(i, recs)
-	}
-	return recs, nil
-}
-
-// Lookup returns the record for exactly prefix p, reading at most one
-// block. On the mapped path the whole lookup is allocation-free: block
-// and record binary searches run directly over the mapping.
-func (d *Reader2) Lookup(p ipaddr.Prefix24) (Record, bool, error) {
+// Lookup returns the record for exactly prefix p, touching at most one
+// block. After the block's first touch it is allocation-free: the block
+// and record binary searches run directly over the bytes and only the
+// matching record is decoded.
+func (d *Reader2) Lookup(p ipaddr.Prefix24) (_ Record, _ bool, err error) {
 	// Last block whose first key is <= p.
 	i := sort.Search(len(d.blocks), func(i int) bool { return d.blocks[i].first > p }) - 1
 	if i < 0 || p > d.blocks[i].last {
 		return Record{}, false, nil
 	}
-	if d.data != nil {
-		return d.lookupMapped(i, p)
-	}
-	recs, err := d.block(i, true)
-	if err != nil {
-		return Record{}, false, err
-	}
-	k := sort.Search(len(recs), func(k int) bool { return recs[k].Prefix >= p })
-	if k < len(recs) && recs[k].Prefix == p {
-		return recs[k], true, nil
-	}
-	return Record{}, false, nil
-}
-
-// lookupMapped answers prefix p out of block i directly from the
-// mapping: fixed-size record payloads make the in-block binary search a
-// pointer-arithmetic walk, and only the single matching record is
-// decoded. No copies, no lock, no allocation.
-func (d *Reader2) lookupMapped(i int, p ipaddr.Prefix24) (Record, bool, error) {
-	payload, err := d.mappedPayload(i)
+	defer catchFault(debug.SetPanicOnFault(true), &err)
+	payload, err := d.payload(i)
 	if err != nil {
 		return Record{}, false, err
 	}
@@ -647,17 +530,16 @@ func (d *Reader2) lookupMapped(i int, p ipaddr.Prefix24) (Record, bool, error) {
 	return r, true, nil
 }
 
-// ieeeTable backs the allocation-free CRC of the first-touch verifier.
+// ieeeTable backs the allocation-free CRCs of frameAt and verifyBlock.
 var ieeeTable = crc32.MakeTable(crc32.IEEE)
 
-// mappedPayload returns block i's frame payload as a slice of the
-// mapping, verifying the frame CRC and every record's decode and sort
-// invariants once per block: the first toucher pays the full check
-// (same strictness as the positioned-read path), every later reader
-// sees the set bit and slices straight in. A corrupt block is therefore
-// detected on first touch even via mmap, with the package's named
-// errors, never a panic.
-func (d *Reader2) mappedPayload(i int) ([]byte, error) {
+// payload returns block i's frame payload as a slice of the artifact
+// bytes, verifying the frame CRC and every record's decode and sort
+// invariants once per block: the first toucher pays the full check,
+// every later reader sees the set bit and slices straight in. A corrupt
+// block is therefore reported with the package's named errors on every
+// touch, never answered from. Callers hold the fault guard.
+func (d *Reader2) payload(i int) ([]byte, error) {
 	b := d.blocks[i]
 	payload := d.data[b.off+frameOverhead : b.off+frameOverhead+int64(b.plen)]
 	w := &d.verified[i>>5]
@@ -665,7 +547,7 @@ func (d *Reader2) mappedPayload(i int) ([]byte, error) {
 	if w.Load()&bit != 0 {
 		return payload, nil
 	}
-	if err := d.verifyMappedBlock(i, payload); err != nil {
+	if err := d.verifyBlock(i, payload); err != nil {
 		return nil, err
 	}
 	for {
@@ -676,9 +558,9 @@ func (d *Reader2) mappedPayload(i int) ([]byte, error) {
 	}
 }
 
-// verifyMappedBlock runs the full block validation the positioned-read
-// path performs in block(), against the mapping.
-func (d *Reader2) verifyMappedBlock(i int, payload []byte) error {
+// verifyBlock checks block i's frame header, CRC, record count, record
+// decode, strict key order and key range against its index entry.
+func (d *Reader2) verifyBlock(i int, payload []byte) error {
 	b := d.blocks[i]
 	fh := d.data[b.off : b.off+frameOverhead]
 	if fh[0] != kindBlock {
@@ -714,55 +596,19 @@ func (d *Reader2) verifyMappedBlock(i int, payload []byte) error {
 	return nil
 }
 
-// SetCacheRange confines the positioned-read LRU to blocks intersecting
-// the [lo, hi] prefix range — the partition-keyed warm cache: a router
-// replica that owns one slice of the space stops caching (and evicting
-// warm entries for) blocks it is only asked about during failover.
-// No-op on the mapped path, where the page cache needs no steering.
-func (d *Reader2) SetCacheRange(lo, hi ipaddr.Prefix24) {
-	d.admitLo, d.admitHi = lo, hi
-}
-
-// WarmBlocks touches every block intersecting the [lo, hi] prefix range:
-// mapped readers CRC-verify and page in each block; positioned-read
-// readers decode them into the LRU until it is full. It returns the
-// number of blocks warmed; the first damaged block stops the warm with
-// the usual named error.
-func (d *Reader2) WarmBlocks(lo, hi ipaddr.Prefix24) (int, error) {
-	if hi < lo {
-		return 0, nil
-	}
-	warmed := 0
-	i := sort.Search(len(d.blocks), func(i int) bool { return d.blocks[i].last >= lo })
-	for ; i < len(d.blocks) && d.blocks[i].first <= hi; i++ {
-		if d.data != nil {
-			if _, err := d.mappedPayload(i); err != nil {
-				return warmed, err
-			}
-		} else {
-			if _, err := d.block(i, true); err != nil {
-				return warmed, err
-			}
-		}
-		warmed++
-		if d.data == nil && warmed >= d.cache.capacity() {
-			break // LRU full: warming further would evict what we just warmed
-		}
-	}
-	return warmed, nil
-}
-
 // Find returns the record covering addr's /24, mirroring Dataset.Find.
 func (d *Reader2) Find(addr ipaddr.Addr) (Record, bool, error) {
 	return d.Lookup(ipaddr.Prefix24Of(addr))
 }
 
 // All streams every record in prefix order through fn, stopping at the
-// first error fn (or a damaged block) returns. It bypasses the LRU so a
-// full scan cannot evict a serving workload's hot blocks.
+// first error fn (or a damaged block) returns. Each block is decoded
+// under the fault guard before fn sees any of it, so fn itself runs
+// unguarded and its panics propagate untouched.
 func (d *Reader2) All(fn func(Record) error) error {
+	buf := make([]Record, 0, DefaultBlockSize)
 	for i := range d.blocks {
-		recs, err := d.block(i, false)
+		recs, err := d.decodeBlock(i, buf[:0])
 		if err != nil {
 			return err
 		}
@@ -771,114 +617,26 @@ func (d *Reader2) All(fn func(Record) error) error {
 				return err
 			}
 		}
+		buf = recs
 	}
 	return nil
 }
 
-// blockCacheShards is the power-of-two way count of the block LRU.
-// Keying shards by block id spreads concurrent lookups across 8
-// mutexes instead of serializing them on one — the fallback path's
-// answer to the contention the mapped path eliminates outright.
-const blockCacheShards = 8
-
-// blockCache is a sharded mutex-guarded LRU over decoded blocks, keyed
-// by block index (shard = index mod ways). Total capacity bounds the
-// reader's steady-state heap no matter the artifact size. A nil
-// *blockCache (the mapped path) reads as always-miss, never-store.
-type blockCache struct {
-	shards [blockCacheShards]blockCacheShard
-}
-
-type blockCacheShard struct {
-	mu  sync.Mutex
-	cap int
-	m   map[int][]Record
-	use []int // LRU order, most recent last
-}
-
-func newBlockCache(capacity int) *blockCache {
-	per := capacity / blockCacheShards
-	if per < 1 {
-		per = 1
+// decodeBlock appends block i's records to buf.
+func (d *Reader2) decodeBlock(i int, buf []Record) (_ []Record, err error) {
+	defer catchFault(debug.SetPanicOnFault(true), &err)
+	payload, err := d.payload(i)
+	if err != nil {
+		return nil, err
 	}
-	c := &blockCache{}
-	for s := range c.shards {
-		c.shards[s].cap = per
-		c.shards[s].m = make(map[int][]Record, per)
-	}
-	return c
-}
-
-// capacity returns the total entry bound across all shards.
-func (c *blockCache) capacity() int {
-	if c == nil {
-		return 0
-	}
-	total := 0
-	for s := range c.shards {
-		total += c.shards[s].cap
-	}
-	return total
-}
-
-// len returns the current entry count across all shards.
-func (c *blockCache) len() int {
-	if c == nil {
-		return 0
-	}
-	total := 0
-	for s := range c.shards {
-		sh := &c.shards[s]
-		sh.mu.Lock()
-		total += len(sh.m)
-		sh.mu.Unlock()
-	}
-	return total
-}
-
-func (c *blockCache) get(i int) ([]Record, bool) {
-	if c == nil {
-		return nil, false
-	}
-	sh := &c.shards[i&(blockCacheShards-1)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	recs, ok := sh.m[i]
-	if ok {
-		sh.touch(i)
-	}
-	return recs, ok
-}
-
-func (c *blockCache) put(i int, recs []Record) {
-	if c == nil {
-		return
-	}
-	sh := &c.shards[i&(blockCacheShards-1)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, ok := sh.m[i]; ok {
-		sh.touch(i)
-		return
-	}
-	if len(sh.m) >= sh.cap && len(sh.use) > 0 {
-		oldest := sh.use[0]
-		sh.use = sh.use[1:]
-		delete(sh.m, oldest)
-	}
-	sh.m[i] = recs
-	sh.use = append(sh.use, i)
-}
-
-// touch moves i to the most-recent end; callers hold the shard lock.
-func (sh *blockCacheShard) touch(i int) {
-	for k, v := range sh.use {
-		if v == i {
-			copy(sh.use[k:], sh.use[k+1:])
-			sh.use[len(sh.use)-1] = i
-			return
+	for k := 0; k < int(d.blocks[i].count); k++ {
+		r, err := decodeRecord(payload[2+k*recordPayloadLen : 2+(k+1)*recordPayloadLen])
+		if err != nil {
+			return nil, err
 		}
+		buf = append(buf, r)
 	}
+	return buf, nil
 }
 
 // Materialize decodes the whole artifact into an in-RAM Dataset — for

@@ -1,7 +1,6 @@
 package dataset
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -138,7 +137,7 @@ func patchFrameCRC(img []byte, off int) {
 
 // openBytes runs NewReader2 over an in-memory image.
 func openBytes(img []byte) (*Reader2, error) {
-	return NewReader2(bytes.NewReader(img), int64(len(img)))
+	return NewReader2(img)
 }
 
 // TestDataset2ErrorTaxonomy: every way a GEODSET2 file can be damaged
@@ -257,29 +256,6 @@ func TestDataset2ErrorTaxonomy(t *testing.T) {
 			t.Fatal("descending prefix accepted")
 		}
 	})
-}
-
-// TestDataset2CacheBounded: a full scan plus scattered lookups never
-// grows the decoded-block cache past its capacity — the property that
-// keeps Reader2's resident memory O(1) in artifact size.
-func TestDataset2CacheBounded(t *testing.T) {
-	ds := compiled(t)
-	r2, err := Open2(writeV2(t, ds, 1)) // one record per block = max block count
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r2.Close()
-	if err := r2.All(func(Record) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range ds.Records {
-		if _, _, err := r2.Lookup(r.Prefix); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n, cap := r2.cache.len(), r2.cache.capacity(); n > cap {
-		t.Fatalf("cache holds %d blocks, cap is %d", n, cap)
-	}
 }
 
 // TestLoadAny covers the format-sniffing loader used by client-side

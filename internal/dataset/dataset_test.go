@@ -224,25 +224,37 @@ func TestDecodeRejectsUnsortedRecords(t *testing.T) {
 	}
 }
 
+// TestFindAndIndexAgree: on the compiled campaign dataset, Dataset.Find
+// and the GEODSET2 block index written from the same records return
+// the same record for an address inside every prefix, and both miss an
+// address outside every prefix.
 func TestFindAndIndexAgree(t *testing.T) {
 	d := compiled(t)
-	ix := d.Index(0)
-	if ix.Len() != len(d.Records) {
-		t.Fatalf("index has %d prefixes, dataset %d records", ix.Len(), len(d.Records))
+	ix, err := Open2(writeV2(t, d, 16))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, r := range d.Records {
+	defer ix.Close()
+	if ix.NumRecords() != len(d.Records) {
+		t.Fatalf("index has %d records, dataset %d", ix.NumRecords(), len(d.Records))
+	}
+	for _, r := range d.Records {
 		addr := r.Prefix.Addr(17)
 		fr, ok := d.Find(addr)
 		if !ok || fr != r {
 			t.Fatalf("Find(%s) = %+v, %v", addr, fr, ok)
 		}
-		m, ok := ix.Lookup(addr)
-		if !ok || int(m.Value) != i {
-			t.Fatalf("index Lookup(%s) = %+v, %v; want record %d", addr, m, ok, i)
+		ir, ok, err := ix.Find(addr)
+		if err != nil || !ok || ir != r {
+			t.Fatalf("index Find(%s) = %+v, %v, %v; want %+v", addr, ir, ok, err, r)
 		}
 	}
-	if _, ok := d.Find(ipaddr.MustParse("203.0.113.9")); ok {
+	miss := ipaddr.MustParse("203.0.113.9")
+	if _, ok := d.Find(miss); ok {
 		t.Fatal("Find matched an address outside every prefix")
+	}
+	if _, ok, err := ix.Find(miss); ok || err != nil {
+		t.Fatalf("index Find(%s) = %v, %v; want a clean miss", miss, ok, err)
 	}
 }
 

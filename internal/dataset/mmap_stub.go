@@ -2,17 +2,14 @@
 
 package dataset
 
-import (
-	"errors"
-	"os"
-)
+import "errors"
 
-// mmapSupported gates OpenMapped's zero-copy path; on platforms without
-// it OpenMapped silently degrades to the positioned-read reader.
+// mmapSupported reports whether Open2 maps artifacts on this platform
+// (elsewhere it reads them into RAM).
 const mmapSupported = false
 
 var errMmapUnsupported = errors.New("dataset: mmap not supported on this platform")
 
-func mmapFile(*os.File, int64) ([]byte, error) { return nil, errMmapUnsupported }
+func mmapFile(string) ([]byte, error) { return nil, errMmapUnsupported }
 
 func munmapFile([]byte) error { return nil }

@@ -6,42 +6,49 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"sync"
 	"testing"
 
+	"geoloc/internal/geo"
 	"geoloc/internal/ipaddr"
 )
 
 // openMappedBytes writes an in-memory image to a file and opens it with
-// OpenMapped — the corruption tests work on byte images, the mapped
-// reader only opens files.
+// Open2 — the corruption tests work on byte images, the mapping only
+// exists for files.
 func openMappedBytes(t *testing.T, img []byte) (*Reader2, error) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "img.geodset2")
 	if err := os.WriteFile(path, img, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	return OpenMapped(path)
+	return Open2(path)
 }
 
-// TestOpenMappedOracle: the mapped reader, the positioned reader, and a
-// linear scan of the source records agree on every probe — present
-// prefixes, absent neighbours, and the key-space extremes — and the
-// mapped reader actually mapped (on platforms that support it).
+// TestOpenMappedOracle: the mapped reader Open2 returns, a reader over
+// the same file read into RAM, and a linear scan of the source records
+// agree on every probe — present prefixes, absent neighbours, and the
+// key-space extremes — and Open2 actually mapped (on platforms that
+// support it).
 func TestOpenMappedOracle(t *testing.T) {
 	ds := compiled(t)
 	for _, blockSize := range []int{1, 4, len(ds.Records) + 7} {
 		t.Run(fmt.Sprintf("block=%d", blockSize), func(t *testing.T) {
 			path := writeV2(t, ds, blockSize)
-			m, err := OpenMapped(path)
+			m, err := Open2(path)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer m.Close()
-			if mmapSupported && !m.Mapped() {
-				t.Fatal("mmap is supported here but OpenMapped fell back to positioned reads")
+			if mmapSupported && !m.mapped {
+				t.Fatal("mmap is supported here but Open2 read the file into RAM")
 			}
-			r2, err := Open2(path)
+			img, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r2, err := NewReader2(img)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -67,17 +74,17 @@ func TestOpenMappedOracle(t *testing.T) {
 			}
 			for _, p := range probes {
 				wantR, wantOK := linear(p)
-				preadR, preadOK, err := r2.Lookup(p)
+				ramR, ramOK, err := r2.Lookup(p)
 				if err != nil {
-					t.Fatalf("pread lookup %s: %v", p, err)
+					t.Fatalf("in-RAM lookup %s: %v", p, err)
 				}
 				mapR, mapOK, err := m.Lookup(p)
 				if err != nil {
 					t.Fatalf("mapped lookup %s: %v", p, err)
 				}
-				if mapOK != wantOK || mapR != wantR || preadOK != wantOK || preadR != wantR {
-					t.Fatalf("lookup %s: mapped (%+v, %v), pread (%+v, %v), linear scan says (%+v, %v)",
-						p, mapR, mapOK, preadR, preadOK, wantR, wantOK)
+				if mapOK != wantOK || mapR != wantR || ramOK != wantOK || ramR != wantR {
+					t.Fatalf("lookup %s: mapped (%+v, %v), in-RAM (%+v, %v), linear scan says (%+v, %v)",
+						p, mapR, mapOK, ramR, ramOK, wantR, wantOK)
 				}
 			}
 
@@ -121,8 +128,8 @@ func TestOpenMappedErrorTaxonomy(t *testing.T) {
 	})
 
 	t.Run("truncation-sweep", func(t *testing.T) {
-		// Same contract as the positioned reader: a cut anywhere fails at
-		// open with a named error. Sampled cuts plus the structural
+		// Same contract as an in-RAM image: a cut anywhere fails at open
+		// with a named error. Sampled cuts plus the structural
 		// boundaries keep the file-backed sweep fast.
 		cuts := []int{0, 1, len(Magic2), len(Magic2) + frameOverhead,
 			len(img) - footerLen, len(img) - footerLen + 16, len(img) - 1}
@@ -163,7 +170,7 @@ func TestOpenMappedErrorTaxonomy(t *testing.T) {
 			t.Fatalf("open rejected lazily-validated damage: %v", err)
 		}
 		defer m.Close()
-		if mmapSupported && !m.Mapped() {
+		if mmapSupported && !m.mapped {
 			t.Fatal("expected a mapped reader")
 		}
 		for try := 0; try < 2; try++ {
@@ -212,7 +219,7 @@ func TestOpenMappedErrorTaxonomy(t *testing.T) {
 // reader can never be re-pinned; Close is idempotent.
 func TestMappedPinLifecycle(t *testing.T) {
 	ds := compiled(t)
-	m, err := OpenMapped(writeV2(t, ds, 4))
+	m, err := Open2(writeV2(t, ds, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +251,7 @@ func TestMappedPinLifecycle(t *testing.T) {
 // (run under -race in CI).
 func TestMappedConcurrentFirstTouch(t *testing.T) {
 	ds := compiled(t)
-	m, err := OpenMapped(writeV2(t, ds, 2))
+	m, err := Open2(writeV2(t, ds, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,69 +281,16 @@ func TestMappedConcurrentFirstTouch(t *testing.T) {
 	}
 }
 
-// TestWarmBlocksMapped: warming a mapped reader verifies exactly the
-// intersecting blocks (their verified bits flip), and warming a
-// positioned reader fills the LRU without overflowing it.
-func TestWarmBlocks(t *testing.T) {
-	ds := compiled(t)
-	path := writeV2(t, ds, 4)
-	lo := ds.Records[0].Prefix
-	hi := ds.Records[len(ds.Records)/2].Prefix
-
-	m, err := OpenMapped(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	if m.Mapped() {
-		n, err := m.WarmBlocks(lo, hi)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n == 0 {
-			t.Fatal("mapped warm touched no blocks")
-		}
-	}
-
-	r2, err := Open2(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r2.Close()
-	r2.SetCacheRange(lo, hi)
-	n, err := r2.WarmBlocks(lo, hi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n == 0 {
-		t.Fatal("pread warm filled no blocks")
-	}
-	if got, capacity := r2.cache.len(), r2.cache.capacity(); got > capacity || got == 0 {
-		t.Fatalf("warm left %d cached blocks, capacity %d", got, capacity)
-	}
-	// Out-of-range lookups answer but are not admitted to the cache.
-	before := r2.cache.len()
-	out := ds.Records[len(ds.Records)-1]
-	if out.Prefix > hi {
-		if got, ok, err := r2.Lookup(out.Prefix); err != nil || !ok || got != out {
-			t.Fatalf("out-of-range lookup: (%+v, %v, %v)", got, ok, err)
-		}
-		if after := r2.cache.len(); after != before {
-			t.Fatalf("out-of-range lookup changed cache population %d -> %d", before, after)
-		}
-	}
-}
-
 // TestMappedLookupAllocs gates the mapped hot path: after first touch, a
 // lookup through the mapping is allocation-free.
 func TestMappedLookupAllocs(t *testing.T) {
 	ds := compiled(t)
-	m, err := OpenMapped(writeV2(t, ds, 4))
+	m, err := Open2(writeV2(t, ds, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	if !m.Mapped() {
+	if !m.mapped {
 		t.Skip("mmap unsupported on this platform")
 	}
 	hit := ds.Records[len(ds.Records)/2].Prefix
@@ -354,4 +308,86 @@ func TestMappedLookupAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("mapped Lookup allocates %.1f times per hit+miss pair, want 0", n)
 	}
+}
+
+// syntheticDataset is n consecutive /24s from base with valid payloads,
+// large enough to span many pages when written as GEODSET2.
+func syntheticDataset(n int, base ipaddr.Prefix24) *Dataset {
+	ds := &Dataset{Hdr: Header{ConfigHash: 0xC0FFEE, Seed: 3, Profile: "synthetic"}}
+	for i := 0; i < n; i++ {
+		ds.Records = append(ds.Records, Record{
+			Prefix:    base + ipaddr.Prefix24(i),
+			Centroid:  geo.Point{Lat: float64(i%180) - 89.5, Lon: float64(i%360) - 179.5},
+			RadiusKm:  float64(10 + i%500),
+			Method:    MethodCBG,
+			Sanitized: i%3 != 0,
+		})
+	}
+	return ds
+}
+
+// TestTruncatedMappingFaultsToErrCorrupt: an artifact truncated in place
+// under a live mapping — what `cp new live` does before it writes —
+// turns lookups and scans that touch the lost pages into ErrCorrupt
+// instead of a SIGBUS that kills the process. Blocks still backed by
+// the file keep answering, whether or not they were touched before the
+// cut, and the fault guard leaves the goroutine's SetPanicOnFault
+// setting as it found it.
+func TestTruncatedMappingFaultsToErrCorrupt(t *testing.T) {
+	ds := syntheticDataset(4000, 0x0A0000) // ~120 KB: dozens of pages
+	path := writeV2(t, ds, 16)
+	m, err := Open2(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if !m.mapped {
+		t.Skip("mmap unsupported on this platform: nothing can fault")
+	}
+	first := ds.Records[0]
+	touched := ds.Records[len(ds.Records)-1] // verified before the cut
+	untouched := ds.Records[len(ds.Records)/2]
+	if got, ok, err := m.Lookup(touched.Prefix); err != nil || !ok || got != touched {
+		t.Fatalf("lookup before the cut: (%+v, %v, %v)", got, ok, err)
+	}
+
+	const cut = 8192 // keeps the header and the first blocks
+	if err := os.Truncate(path, cut); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []Record{touched, untouched} {
+		for try := 0; try < 2; try++ {
+			if _, ok, err := m.Find(want.Prefix.Addr(9)); !errors.Is(err, ErrCorrupt) || ok {
+				t.Fatalf("find %s past the cut (try %d): ok=%v err=%v, want ErrCorrupt", want.Prefix, try, ok, err)
+			}
+		}
+	}
+	if err := m.All(func(Record) error { return nil }); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("scan across the cut: got %v, want ErrCorrupt", err)
+	}
+	if got, ok, err := m.Lookup(first.Prefix); err != nil || !ok || got != first {
+		t.Fatalf("lookup before the cut after truncation: (%+v, %v, %v)", got, ok, err)
+	}
+	if debug.SetPanicOnFault(false) {
+		t.Fatal("the fault guard left SetPanicOnFault enabled")
+	}
+}
+
+// TestAllCallbackPanicPropagates: the fault guard only covers reads of
+// the artifact bytes, so a panic raised by All's callback reaches the
+// caller unchanged instead of being swallowed or relabelled.
+func TestAllCallbackPanicPropagates(t *testing.T) {
+	m, err := Open2(writeV2(t, compiled(t), 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	sentinel := errors.New("callback panic")
+	defer func() {
+		if r := recover(); r != sentinel {
+			t.Fatalf("recovered %v, want the callback's own panic value", r)
+		}
+	}()
+	m.All(func(Record) error { panic(sentinel) })
+	t.Fatal("All returned after its callback panicked")
 }

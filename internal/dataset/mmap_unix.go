@@ -7,13 +7,23 @@ import (
 	"syscall"
 )
 
-// mmapSupported gates OpenMapped's zero-copy path; on platforms without
-// it OpenMapped silently degrades to the positioned-read reader.
+// mmapSupported reports whether Open2 maps artifacts on this platform
+// (elsewhere it reads them into RAM).
 const mmapSupported = true
 
-// mmapFile maps size bytes of f read-only and shared. The mapping
-// outlives the descriptor, so callers may close f immediately after.
-func mmapFile(f *os.File, size int64) ([]byte, error) {
+// mmapFile maps the whole file at path read-only and shared. The
+// mapping outlives the descriptor, which is closed before returning.
+func mmapFile(path string) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	size := st.Size()
 	if size <= 0 || int64(int(size)) != size {
 		return nil, syscall.EINVAL
 	}

@@ -41,17 +41,11 @@ type localReplica struct {
 
 // NewLocalFleet builds, publishes, and starts n replicas over the same
 // dataset. Every replica gets a private registry and an instance label
-// ("replica-i") so scraping any member stays unambiguous. Each replica's
-// caches are keyed to its partition of the address space (the same
-// Partition the router's sharded mode routes by) and pre-warmed at
-// publish, so the replica that owns a range serves it hot from the first
-// request while stray out-of-partition traffic cannot evict its working
-// set.
+// ("replica-i") so scraping any member stays unambiguous.
 func NewLocalFleet(n int, ds *dataset.Dataset, source string, cfg serve.Config) (*LocalFleet, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("router: fleet needs at least 1 replica, got %d", n)
 	}
-	ranges := Partition(n)
 	f := &LocalFleet{}
 	for i := 0; i < n; i++ {
 		rcfg := cfg
@@ -59,9 +53,6 @@ func NewLocalFleet(n int, ds *dataset.Dataset, source string, cfg serve.Config) 
 			rcfg.MetricsLabel = fmt.Sprintf("replica-%d", i)
 		} else {
 			rcfg.MetricsLabel = fmt.Sprintf("%s-replica-%d", cfg.MetricsLabel, i)
-		}
-		if rcfg.Warm == nil {
-			rcfg.Warm = &serve.WarmRange{Lo: ranges[i].Lo, Hi: ranges[i].Hi}
 		}
 		srv := serve.New(rcfg, telemetry.New())
 		srv.Publish(ds, source)

@@ -8,7 +8,7 @@
 // never a hang), and recovers by passing consecutive readiness probes.
 //
 // Every replica serves the full artifact; the prefix partition shards
-// *load* (and per-replica cache locality), not data, which is exactly
+// *load*, not data, which is exactly
 // what makes failover possible: any fallback can answer any address.
 package router
 

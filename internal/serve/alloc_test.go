@@ -40,7 +40,6 @@ func writeMappedServer(t *testing.T, cfg Config) *Server {
 	if _, err := w.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	cfg.Mmap = true
 	srv := New(cfg, telemetry.New())
 	if _, err := srv.Reload(path); err != nil {
 		t.Fatal(err)

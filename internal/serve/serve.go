@@ -4,7 +4,7 @@
 // Three properties distinguish it from a plain handler over a dataset
 // (DESIGN.md §3.6):
 //
-//   - Hot-swap: the (dataset, index) pair is published through an atomic
+//   - Hot-swap: the artifact snapshot is published through an atomic
 //     pointer (swap.go), so a new artifact can be rotated in under live
 //     load — in-flight requests finish on the snapshot they captured,
 //     new requests see the new generation, and a reload that fails to
@@ -39,7 +39,6 @@ import (
 	"geoloc/internal/dataset"
 	"geoloc/internal/faults"
 	"geoloc/internal/ipaddr"
-	"geoloc/internal/ipindex"
 	"geoloc/internal/obs"
 	"geoloc/internal/telemetry"
 )
@@ -56,33 +55,13 @@ const (
 	DefaultRetryAfter     = 1 * time.Second
 )
 
-// WarmRange is an inclusive address range a partitioned deployment
-// expects this server to answer for. It steers cache admission, not
-// correctness: lookups outside the range still answer, they just never
-// displace in-range cache entries (DESIGN.md §3.10).
-type WarmRange struct {
-	Lo, Hi ipaddr.Addr
-}
-
 // Config tunes a Server. The zero value gets sane production defaults;
 // set a field negative where documented to disable that limit.
 type Config struct {
 	// Prof injects deterministic serving faults (nil = none).
 	Prof *faults.Profile
-	// CacheSize tunes the ipindex LRU of every index the server builds
-	// (0 = ipindex default, negative = disabled).
-	CacheSize int
 	// MaxBatch caps /batch (0 = DefaultMaxBatch).
 	MaxBatch int
-
-	// Mmap serves GEODSET2 artifacts zero-copy through dataset.OpenMapped
-	// where the platform supports it; positioned block reads otherwise.
-	Mmap bool
-	// Warm, when set, keys every published artifact's caches to one
-	// address range: blocks and /24s outside it are never admitted, and
-	// in-range blocks are pre-warmed at swap time so a fresh artifact
-	// starts hot (nil = admit everything, warm nothing).
-	Warm *WarmRange
 
 	// MaxInflight bounds concurrently executing data-plane requests
 	// (0 = DefaultMaxInflight, negative = unlimited: admission off).
@@ -210,7 +189,7 @@ func New(cfg Config, reg *telemetry.Registry) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:     cfg,
-		swapper: NewSwapper(reg, cfg.CacheSize, cfg.Mmap, cfg.Warm),
+		swapper: NewSwapper(reg),
 		sleep:   ctxSleep,
 
 		reqLookup:  reg.Counter("geoserve.requests_lookup"),
@@ -255,15 +234,6 @@ func (s *Server) Reload(path string) (*Artifact, error) { return s.swapper.Reloa
 
 // Current returns the active artifact (nil before the first Publish).
 func (s *Server) Current() *Artifact { return s.swapper.Current() }
-
-// Index exposes the active serving index (benchmarks hit it directly);
-// nil before the first Publish.
-func (s *Server) Index() *ipindex.Index {
-	if a := s.Current(); a != nil {
-		return a.Idx
-	}
-	return nil
-}
 
 // StartDrain flips readiness: /readyz answers 503 from now on while the
 // data plane keeps serving, so a load balancer stops routing here and

@@ -10,19 +10,23 @@
 // fails to decode leaves the old artifact serving — rollback is the
 // absence of a publish.
 //
-// Two artifact formats serve behind the same snapshot type: a decoded
-// in-RAM GEODSET1 (dataset + LPM index) and a block-indexed GEODSET2
-// read either via positioned block reads or zero-copy through a memory
-// mapping (DESIGN.md §3.9, §3.10), which is how a full-IPv4-scale
-// artifact serves with O(blocks-touched) resident memory. Reload sniffs
-// the file's magic and picks the right opener.
+// Two artifact formats serve behind the same snapshot type, each with
+// exactly one lookup: a decoded in-RAM dataset (GEODSET1 artifacts and
+// datasets compiled in-process) answered by Dataset.Find, and a
+// block-indexed GEODSET2 answered by dataset.Reader2 straight out of a
+// read-only mapping of the file (DESIGN.md §3.9, §3.10), which is how a
+// full-IPv4-scale artifact serves with resident memory proportional to
+// the blocks it touches. Reload sniffs the file's magic and picks the
+// right opener. No cache sits in front of either lookup.
 //
-// GEODSET2 readers own kernel resources (a descriptor or a mapping), so
-// a swapped-out reader is reference-counted: each in-flight request pins
-// the snapshot it captured (Artifact.pin/release), the swap drops the
-// owner reference, and the last pin out actually closes. A swap under
-// zero load closes the old reader immediately; under load it closes the
-// moment the final straggler finishes.
+// A GEODSET2 reader owns a mapping, so a swapped-out reader is
+// reference-counted: each in-flight request pins the snapshot it
+// captured (Artifact.pin/release), the swap drops the owner reference,
+// and the last pin out actually unmaps. A swap under zero load unmaps
+// the old reader immediately; under load it unmaps the moment the final
+// straggler finishes. If the file under a live mapping is truncated in
+// place, the reader's fault guard turns the lost pages into
+// dataset.ErrCorrupt, which the handlers answer with 503.
 package serve
 
 import (
@@ -34,19 +38,16 @@ import (
 
 	"geoloc/internal/dataset"
 	"geoloc/internal/ipaddr"
-	"geoloc/internal/ipindex"
 	"geoloc/internal/telemetry"
 )
 
 // Artifact is one published serving snapshot plus swap bookkeeping. All
 // fields are immutable after publish; concurrent readers share it
-// freely. Exactly one of DS (with Idx) and R2 is non-nil.
+// freely. Exactly one of DS and R2 is non-nil.
 type Artifact struct {
 	// DS is the decoded in-RAM dataset (GEODSET1 artifacts and datasets
 	// compiled in-process); nil when serving a block-indexed artifact.
 	DS *dataset.Dataset
-	// Idx is the serving index over DS; nil when DS is nil.
-	Idx *ipindex.Index
 	// R2 is the block-indexed GEODSET2 reader; nil for in-RAM artifacts.
 	// Swapping it out closes it via the reader's reference count once
 	// the last pinned request finishes (see pin/release).
@@ -64,18 +65,15 @@ type Artifact struct {
 	Source string
 }
 
-// Find answers one address from the snapshot: LPM index + record slice
-// for in-RAM artifacts, a block-index lookup (reading at most one
-// block) for GEODSET2. The error is always nil for in-RAM artifacts; a
-// block-read failure surfaces it so the caller can answer 503 rather
-// than fake a miss.
+// Find answers one address from the snapshot: a binary search of the
+// record slice for in-RAM artifacts, a block-index lookup (touching at
+// most one block) for GEODSET2. The error is always nil for in-RAM
+// artifacts; a damaged or vanished block surfaces it so the caller can
+// answer 503 rather than fake a miss.
 func (a *Artifact) Find(addr ipaddr.Addr) (dataset.Record, bool, error) {
 	if a.DS != nil {
-		m, ok := a.Idx.Lookup(addr)
-		if !ok {
-			return dataset.Record{}, false, nil
-		}
-		return a.DS.Records[m.Value], true, nil
+		rec, ok := a.DS.Find(addr)
+		return rec, ok, nil
 	}
 	return a.R2.Find(addr)
 }
@@ -104,10 +102,6 @@ func (a *Artifact) release() {
 // snapshot side-by-side with the old artifact still serving and
 // publishes with one atomic store.
 type Swapper struct {
-	cacheSize int
-	mmap      bool
-	warm      *WarmRange
-
 	swaps     *telemetry.Counter
 	swapFails *telemetry.Counter
 
@@ -117,14 +111,9 @@ type Swapper struct {
 }
 
 // NewSwapper returns an empty swapper (Current is nil until the first
-// Publish). cacheSize tunes the ipindex LRU of every index it builds;
-// mmap selects the zero-copy GEODSET2 opener on Reload; warm keys cache
-// admission and swap-time pre-warming to one address range (nil = off).
-func NewSwapper(reg *telemetry.Registry, cacheSize int, mmap bool, warm *WarmRange) *Swapper {
+// Publish).
+func NewSwapper(reg *telemetry.Registry) *Swapper {
 	return &Swapper{
-		cacheSize: cacheSize,
-		mmap:      mmap,
-		warm:      warm,
 		swaps:     reg.Counter("geoserve.swaps"),
 		swapFails: reg.Counter("geoserve.swap_failures"),
 	}
@@ -144,28 +133,19 @@ func (sw *Swapper) Generation() uint64 {
 	return 0
 }
 
-// Publish builds the index for ds and atomically makes it the active
-// artifact. The old artifact keeps serving until the store, and stays
-// alive as long as any in-flight request holds it.
+// Publish atomically makes ds the active artifact. The old artifact
+// keeps serving until the store, and stays alive as long as any
+// in-flight request holds it.
 func (sw *Swapper) Publish(ds *dataset.Dataset, source string) *Artifact {
-	// Index construction is the expensive part; do it before taking the
-	// writer lock only if we were contention-sensitive — swaps are rare,
-	// so building under mu keeps Gen assignment and store trivially
-	// ordered instead.
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
 	sw.gen++
 	a := &Artifact{
 		DS:      ds,
-		Idx:     ds.Index(sw.cacheSize),
 		Hdr:     ds.Hdr,
 		Records: len(ds.Records),
 		Gen:     sw.gen,
 		Source:  source,
-	}
-	if sw.warm != nil {
-		a.Idx.RestrictCache(sw.warm.Lo, sw.warm.Hi)
-		a.Idx.Prewarm()
 	}
 	sw.store(a)
 	return a
@@ -183,21 +163,10 @@ func (sw *Swapper) store(a *Artifact) {
 }
 
 // PublishReader atomically makes a block-indexed GEODSET2 reader the
-// active artifact. With a warm range configured, the reader's block
-// cache is keyed to the range and the in-range blocks are touched —
-// verified and paged in (mmap) or decoded into the LRU (pread) — before
-// the swap, so the new generation starts answering its partition hot.
+// active artifact.
 func (sw *Swapper) PublishReader(r2 *dataset.Reader2, source string) *Artifact {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
-	if sw.warm != nil {
-		lo := ipaddr.Prefix24Of(sw.warm.Lo)
-		hi := ipaddr.Prefix24Of(sw.warm.Hi)
-		r2.SetCacheRange(lo, hi)
-		// Pre-warm is best-effort: a damaged block fails here exactly as
-		// it would at serve time, and serve time is where it's reported.
-		_, _ = r2.WarmBlocks(lo, hi)
-	}
 	sw.gen++
 	a := &Artifact{
 		R2:      r2,
@@ -222,13 +191,7 @@ func (sw *Swapper) Reload(path string) (*Artifact, error) {
 		return nil, fmt.Errorf("reload rejected, still serving generation %d: %w", sw.Generation(), err)
 	}
 	if magic == dataset.Magic2 {
-		open := dataset.Open2
-		if sw.mmap {
-			// OpenMapped itself degrades to Open2 on platforms without
-			// mmap support, so the flag is safe everywhere.
-			open = dataset.OpenMapped
-		}
-		r2, err := open(path)
+		r2, err := dataset.Open2(path)
 		if err != nil {
 			sw.swapFails.Inc()
 			return nil, fmt.Errorf("reload rejected, still serving generation %d: %w", sw.Generation(), err)

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -14,6 +15,7 @@ import (
 
 	"geoloc/internal/core"
 	"geoloc/internal/dataset"
+	"geoloc/internal/ipaddr"
 	"geoloc/internal/telemetry"
 	"geoloc/internal/world"
 )
@@ -40,7 +42,7 @@ func tinyVariantDataset() *dataset.Dataset {
 // (rollback by non-publish) and counts a swap failure.
 func TestSwapGenerationAndRollback(t *testing.T) {
 	reg := telemetry.New()
-	sw := NewSwapper(reg, 0, false, nil)
+	sw := NewSwapper(reg)
 	if sw.Current() != nil || sw.Generation() != 0 {
 		t.Fatal("fresh swapper should have no artifact, generation 0")
 	}
@@ -324,12 +326,9 @@ func TestMmapHotSwapUnderLoad(t *testing.T) {
 	pathA := writeV2File(t, tinyDataset(), dir, "a.geodset2")
 	pathB := writeV2File(t, tinyVariantDataset(), dir, "b.geodset2")
 
-	srv := New(Config{Mmap: true}, telemetry.New())
+	srv := New(Config{}, telemetry.New())
 	if _, err := srv.Reload(pathA); err != nil {
 		t.Fatal(err)
-	}
-	if r2 := srv.Current().R2; r2 == nil || !r2.Mapped() {
-		t.Skip("mmap unavailable; nothing to race")
 	}
 
 	hit := tinyDataset().Records[0].Prefix.Addr(3).String()
@@ -367,5 +366,77 @@ func TestMmapHotSwapUnderLoad(t *testing.T) {
 	wg.Wait()
 	if n := failures.Load(); n != 0 {
 		t.Fatalf("%d requests failed during mapped hot-swaps", n)
+	}
+}
+
+// TestTruncateUnderLoad: an operator truncates the live GEODSET2 file in
+// place (the first step of `cp new.geodset2 live.geodset2`) while
+// /lookup traffic runs against its mapping. Lookups that land on the
+// lost pages must answer 503 through the reader's fault guard; every
+// answer stays 200, 404 or 503, and the process survives to serve the
+// blocks the file still backs.
+func TestTruncateUnderLoad(t *testing.T) {
+	ds := &dataset.Dataset{Hdr: dataset.Header{Seed: 5, Profile: "truncate"}}
+	for i := 0; i < 4000; i++ { // ~120 KB: dozens of pages
+		ds.Records = append(ds.Records, dataset.Record{
+			Prefix:   ipaddr.Prefix24(0x0A0000 + i),
+			RadiusKm: float64(i % 700),
+			Method:   dataset.MethodCBG,
+		})
+	}
+	path := writeV2File(t, ds, t.TempDir(), "live.geodset2")
+	srv := New(Config{}, telemetry.New())
+	if _, err := srv.Reload(path); err != nil {
+		t.Fatal(err)
+	}
+	h := srv.Handler()
+	lookup := func(rec dataset.Record) int {
+		req := httptest.NewRequest(http.MethodGet, "/lookup?ip="+rec.Prefix.Addr(1).String(), nil)
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, req)
+		return w.Code
+	}
+
+	var stop atomic.Bool
+	var off, answered atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; !stop.Load(); i += 7 {
+				switch c := lookup(ds.Records[i%len(ds.Records)]); c {
+				case http.StatusOK, http.StatusNotFound, http.StatusServiceUnavailable:
+					answered.Add(1)
+				default:
+					off.Add(1)
+					t.Errorf("status %d under truncation", c)
+					return
+				}
+			}
+		}(g)
+	}
+	// awaitAnswers spins until the workers have answered n more
+	// requests (or one of them gave up on an off-design status).
+	awaitAnswers := func(n int64) {
+		for target := answered.Load() + n; answered.Load() < target && off.Load() == 0; {
+			runtime.Gosched()
+		}
+	}
+	awaitAnswers(500)
+	if err := os.Truncate(path, 8192); err != nil {
+		t.Fatal(err)
+	}
+	awaitAnswers(2000)
+	stop.Store(true)
+	wg.Wait()
+	if n := off.Load(); n != 0 {
+		t.Fatalf("%d off-design answers", n)
+	}
+	if c := lookup(ds.Records[len(ds.Records)-1]); c != http.StatusServiceUnavailable {
+		t.Fatalf("lookup past the cut answered %d, want 503", c)
+	}
+	if c := lookup(ds.Records[0]); c != http.StatusOK {
+		t.Fatalf("lookup before the cut answered %d, want 200", c)
 	}
 }
